@@ -391,28 +391,32 @@ func BenchmarkExtensionSolvers(b *testing.B) {
 }
 
 // BenchmarkAblationTagCache compares the tagging pipeline with and without
-// the cache module (paper Section IV-A).
+// the cache module (paper Section IV-A). The uncached arm recomputes the
+// full Parser → Matrix → Graph → Clique chain on every call.
 func BenchmarkAblationTagCache(b *testing.B) {
 	sys := benchSystemShared(b, 300)
-	for _, disable := range []bool{false, true} {
-		name := "cached"
-		if disable {
-			name = "uncached"
+	opts := tagging.CloudOptions{UsePivot: true}
+	p := tagging.NewPipeline(sys.Repo, true)
+	b.Run("cached", func(b *testing.B) {
+		if _, err := p.Cloud(opts); err != nil {
+			b.Fatal(err)
 		}
-		b.Run(name, func(b *testing.B) {
-			p := tagging.NewPipeline(sys.Repo, true)
-			p.DisableCache = disable
-			if _, err := p.Cloud(tagging.CloudOptions{UsePivot: true}); err != nil {
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := p.Cloud(opts); err != nil {
 				b.Fatal(err)
 			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := p.Cloud(tagging.CloudOptions{UsePivot: true}); err != nil {
-					b.Fatal(err)
-				}
+		}
+	})
+	b.Run("uncached", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			td, err := p.FetchTagData()
+			if err != nil {
+				b.Fatal(err)
 			}
-		})
-	}
+			tagging.BuildCloud(td, opts)
+		}
+	})
 }
 
 // BenchmarkAblationDoubleLink compares PageRank over the double-link
@@ -656,8 +660,8 @@ func BenchmarkIncrementalRecommend(b *testing.B) {
 
 // BenchmarkIncrementalTagging measures the tagging pipeline's refresh cost
 // at 10k pages with ~1% tag churn per round: the from-scratch Parser fetch
-// + full matrix/clique chain (DisableCache) against the journal delta path
-// with per-component clique caching.
+// + full matrix/clique chain (BuildCloud over FetchTagData) against the
+// journal delta path with per-component clique caching.
 func BenchmarkIncrementalTagging(b *testing.B) {
 	sys := benchSystem(b, 10000)
 	sensors := sys.Repo.Wiki.PagesInNamespace("Sensor")
@@ -678,14 +682,15 @@ func BenchmarkIncrementalTagging(b *testing.B) {
 	opts := tagging.CloudOptions{UsePivot: true}
 	b.Run("full-rebuild", func(b *testing.B) {
 		p := tagging.NewPipeline(sys.Repo, false)
-		p.DisableCache = true
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
 			churnOnce(b)
 			b.StartTimer()
-			if _, err := p.Cloud(opts); err != nil {
+			td, err := p.FetchTagData()
+			if err != nil {
 				b.Fatal(err)
 			}
+			tagging.BuildCloud(td, opts)
 		}
 	})
 	b.Run("incremental", func(b *testing.B) {
@@ -787,51 +792,6 @@ func BenchmarkFacetIndexVsStream(b *testing.B) {
 	}
 }
 
-// BenchmarkAlphaFusion measures the relevance/PageRank fusion on the
-// query shape the interface serves (20 fused results of a keyword query):
-// the legacy path materializes and fully sorts every match, then re-sorts
-// the whole set under the fused score (System.Fuse) and truncates; the
-// in-executor path buffers the matching set once and heap-selects the
-// fused top 20 — O(n log k) instead of two O(n log n) sorts.
-func BenchmarkAlphaFusion(b *testing.B) {
-	sys := benchSystemShared(b, 5000)
-	expr := query.Keyword{Text: "sensor temperature", Any: true}
-	alpha := 0.5
-	fused, err := sys.Engine.Execute(expr, search.ExecOptions{Alpha: &alpha, Limit: 20})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if len(fused.Results) != 20 {
-		b.Fatalf("fused page has %d results", len(fused.Results))
-	}
-	b.Run("legacy-resort", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			res, err := sys.Engine.Execute(expr, search.ExecOptions{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			rs := sys.Fuse(res.Results, alpha)
-			if len(rs) > 20 {
-				rs = rs[:20]
-			}
-			if rs[0].Title != fused.Results[0].Title {
-				b.Fatalf("orderings diverge: %s vs %s", rs[0].Title, fused.Results[0].Title)
-			}
-		}
-	})
-	b.Run("in-executor", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			res, err := sys.Engine.Execute(expr, search.ExecOptions{Alpha: &alpha, Limit: 20})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if res.Results[0].Title != fused.Results[0].Title {
-				b.Fatal("orderings diverge")
-			}
-		}
-	})
-}
-
 // BenchmarkFilterPushdown measures the executor's candidate pruning on a
 // selective-filter keyword query (the filter matches well under 5% of the
 // corpus): the score-then-filter baseline scores every "sensor" posting
@@ -878,41 +838,6 @@ func BenchmarkFilterPushdown(b *testing.B) {
 				}
 			})
 		}
-	}
-}
-
-// BenchmarkRecommendIndexVsScan compares the recommendation paths at 5k
-// pages: the corpus-scan baseline against the journal-maintained inverted
-// (property, value) → pages index, which is O(candidate pages sharing a
-// seed pair) per query. Two seed profiles: deployment seeds share only
-// low-frequency pairs (few candidates — the index's win), sensor seeds
-// share status/samplingRate pairs carried by most of the corpus
-// (candidates ≈ corpus — the index's worst case, where it must not regress
-// below the scan by more than its bookkeeping).
-func BenchmarkRecommendIndexVsScan(b *testing.B) {
-	sys := benchSystemShared(b, 5000)
-	profiles := []struct {
-		name  string
-		seeds []string
-	}{
-		{"selective", sys.Repo.Wiki.PagesInNamespace("Deployment")[:3]},
-		{"dense", sys.Repo.Wiki.PagesInNamespace("Sensor")[:5]},
-	}
-	rec := sys.Recommender
-	for _, p := range profiles {
-		if len(rec.RecommendScan(p.seeds, "", 10)) == 0 {
-			b.Fatalf("%s seeds give no recommendations; corpus too weak", p.name)
-		}
-		b.Run(p.name+"/scan", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				rec.RecommendScan(p.seeds, "", 10)
-			}
-		})
-		b.Run(p.name+"/indexed", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				rec.Recommend(p.seeds, "", 10)
-			}
-		})
 	}
 }
 

@@ -1,9 +1,10 @@
-// Package planstats pins the PR-10 planner invariant: every SELECT row is
-// produced by an executed plan node, so the planner's statistics
-// (IndexScans, FallbackScans, estimate-error samples) account for all row
-// traffic. Before the refactor, SELECT compilation in select.go reached
-// for Table.Scan directly in half a dozen places, and each such shortcut
-// was a scan the cost model never saw and EXPLAIN could not render.
+// Package planstats pins the planner invariant: every row a SELECT,
+// UPDATE or DELETE reads is produced by an executed plan node, so the
+// planner's statistics (IndexScans, FallbackScans, estimate-error samples)
+// account for all row traffic. Before the refactor, SELECT compilation in
+// select.go reached for Table.Scan directly in half a dozen places, and
+// each such shortcut was a scan the cost model never saw and EXPLAIN could
+// not render.
 package planstats
 
 import (
@@ -15,23 +16,21 @@ import (
 )
 
 // allowedFiles are the relational files that may call Table.Scan: the plan
-// executor (the single fetch path of SELECT), the Table implementation
-// itself, the non-SELECT statement paths in db.go (UPDATE/DELETE candidate
-// scans), and persistence.
+// executor (the single fetch path of SELECT, UPDATE and DELETE), the Table
+// implementation itself, and persistence.
 var allowedFiles = map[string]bool{
 	"plan.go":    true,
 	"table.go":   true,
-	"db.go":      true,
 	"persist.go": true,
 }
 
 // Analyzer flags calls to (*Table).Scan outside the files where scanning
-// is the job — most importantly select.go, where every access path must be
-// a plan node so costing, counters and EXPLAIN stay complete.
+// is the job — most importantly select.go and db.go, where every access
+// path must be a plan node so costing, counters and EXPLAIN stay complete.
 var Analyzer = &analysis.Analyzer{
 	Name: "planstats",
-	Doc: "forbid direct Table.Scan outside plan-node execution (plan.go), the table itself, " +
-		"db.go and persistence, so every SELECT access path is planned, counted and explainable",
+	Doc: "forbid direct Table.Scan outside plan-node execution (plan.go), the table itself " +
+		"and persistence, so every SELECT, UPDATE and DELETE access path is planned and counted",
 	Run: run,
 }
 

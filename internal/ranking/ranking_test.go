@@ -2,6 +2,7 @@ package ranking
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/pagerank"
@@ -104,6 +105,9 @@ func TestInstallAndSortRank(t *testing.T) {
 	}
 }
 
+// TestFuse checks the relevance/PageRank fusion on a ranker's installed
+// scores: alpha=1 orders by relevance, alpha=0 by PageRank, and an alpha
+// outside [0,1] clamps to the nearest end.
 func TestFuse(t *testing.T) {
 	repo := fixtureRepo(t)
 	r, err := New(repo, "", pagerank.Options{})
@@ -111,32 +115,61 @@ func TestFuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := search.NewEngine(repo)
-	// "wind" matches Deployment:A (low rank, high relevance among sensors)
-	// and the two sensors.
-	rs, err := e.Search(search.Query{Keywords: "wind"})
-	if err != nil {
-		t.Fatal(err)
+	r.Install(e)
+	fuse := func(alpha float64) []search.Result {
+		t.Helper()
+		// "wind" matches Deployment:A (low rank, high relevance among
+		// sensors) and the two sensors.
+		rs, err := e.Search(search.Query{Keywords: "wind", Alpha: &alpha})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rs
 	}
-	if len(rs) < 2 {
-		t.Fatalf("results = %+v", rs)
+	byRel := fuse(1)
+	if len(byRel) < 2 {
+		t.Fatalf("results = %+v", byRel)
 	}
-	// Pure relevance (alpha=1) must equal the engine's own ordering.
-	byRel := r.Fuse(append([]search.Result(nil), rs...), 1)
 	for i := 1; i < len(byRel); i++ {
 		if byRel[i-1].Relevance < byRel[i].Relevance {
 			t.Error("alpha=1 did not sort by relevance")
 		}
 	}
-	// Pure rank (alpha=0) must sort by PageRank.
-	byRank := r.Fuse(append([]search.Result(nil), rs...), 0)
+	byRank := fuse(0)
 	for i := 1; i < len(byRank); i++ {
 		if byRank[i-1].Rank < byRank[i].Rank {
 			t.Error("alpha=0 did not sort by rank")
 		}
 	}
-	// Out-of-range alpha clamps instead of corrupting.
-	r.Fuse(rs, 7)
-	r.Fuse(rs, -3)
+	if got := fuse(7); !reflect.DeepEqual(got, byRel) {
+		t.Errorf("alpha=7 = %v, want the alpha=1 order %v", got, byRel)
+	}
+	if got := fuse(-3); !reflect.DeepEqual(got, byRank) {
+		t.Errorf("alpha=-3 = %v, want the alpha=0 order %v", got, byRank)
+	}
+}
+
+// TestFuseFillsRanks checks that fused results carry the ranker's PageRank
+// score in Rank.
+func TestFuseFillsRanks(t *testing.T) {
+	repo := fixtureRepo(t)
+	r, err := New(repo, "", pagerank.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := search.NewEngine(repo)
+	r.Install(e)
+	alpha := 0.5
+	rs, err := e.Search(search.Query{Keywords: "valley", Alpha: &alpha})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rs) != 1 || rs[0].Title != "Fieldsite:Davos" {
+		t.Fatalf("results = %+v", rs)
+	}
+	if rs[0].Rank == 0 || rs[0].Rank != r.Score("Fieldsite:Davos") {
+		t.Errorf("Rank = %v, want %v", rs[0].Rank, r.Score("Fieldsite:Davos"))
+	}
 }
 
 func TestUpdateWarmStart(t *testing.T) {
@@ -203,15 +236,5 @@ func TestUpdateOnEmptyAndFromEmpty(t *testing.T) {
 	}
 	if len(u2.Scores()) != 2 {
 		t.Errorf("scores after growth = %v", u2.Scores())
-	}
-}
-
-func TestFuseFillsRanks(t *testing.T) {
-	repo := fixtureRepo(t)
-	r, _ := New(repo, "", pagerank.Options{})
-	in := []search.Result{{Title: "Fieldsite:Davos", Relevance: 1}}
-	out := r.Fuse(in, 0.5)
-	if out[0].Rank == 0 {
-		t.Error("Fuse did not backfill Rank from scores")
 	}
 }

@@ -153,7 +153,7 @@ func TestRecommendIndexMatchesScan(t *testing.T) {
 	for round := 0; round < 5; round++ {
 		for _, seeds := range seedSets {
 			got := rec.Recommend(seeds, "", 15)
-			want := rec.RecommendScan(seeds, "", 15)
+			want := recommendScan(rec, seeds, "", 15)
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("round %d seeds %v: index path diverges from scan\nindex = %+v\nscan  = %+v",
 					round, seeds, got, want)

@@ -408,8 +408,8 @@ func pairKey(property, value string) string {
 // Candidates come from the journal-maintained inverted (property, value) →
 // pages index: only pages sharing at least one annotation pair with the
 // seed set are scored — O(candidates), not a corpus scan. Each candidate
-// is then scored with exactly the arithmetic of the scan path
-// (RecommendScan), so the two orderings are identical.
+// is then scored with exactly the arithmetic of a corpus scan (the
+// recommendScan oracle in the tests), so the two orderings are identical.
 func (r *Recommender) Recommend(seeds []string, user string, k int) []Recommendation {
 	if k <= 0 || len(seeds) == 0 {
 		return nil
@@ -425,7 +425,7 @@ func (r *Recommender) Recommend(seeds []string, user string, k int) []Recommenda
 	// (zero-weight pairs can never contribute score). Enumeration order is
 	// irrelevant: the final ordering is a strict total order (score
 	// descending, unique-title tie-break), so the output is identical to
-	// the scan path's regardless of how candidates are discovered. Shards
+	// a corpus scan's regardless of how candidates are discovered. Shards
 	// partition titles, so each can scan its own pair postings (with its
 	// own dedup set) in parallel and the per-shard candidate sets stay
 	// disjoint.
@@ -476,34 +476,6 @@ func (r *Recommender) Recommend(seeds []string, user string, k int) []Recommenda
 	return topRecommendations(out, k)
 }
 
-// RecommendScan is the pre-index corpus-scan implementation, kept as the
-// baseline the recommendation benchmark compares the inverted index
-// against (and as an oracle in tests: both paths must return identical
-// recommendations).
-func (r *Recommender) RecommendScan(seeds []string, user string, k int) []Recommendation {
-	if k <= 0 || len(seeds) == 0 {
-		return nil
-	}
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	seedSet, pairWeight := r.seedPairWeights(seeds)
-	if len(pairWeight) == 0 {
-		return nil
-	}
-
-	var out []Recommendation
-	r.repo.Wiki.Each(func(p *wiki.Page) {
-		title := p.Title.String()
-		if seedSet[title] || !r.repo.ACL.CanRead(user, title) {
-			return
-		}
-		if rec, ok := scorePage(p, title, pairWeight, r.ranks[title]); ok {
-			out = append(out, rec)
-		}
-	})
-	return topRecommendations(out, k)
-}
-
 // seedPairWeights resolves the seed set and the weight of each
 // (property, value) pair across it: the property's global importance,
 // counted once per seed page carrying it. Caller holds at least the read
@@ -526,8 +498,8 @@ func (r *Recommender) seedPairWeights(seeds []string) (map[string]bool, map[stri
 }
 
 // scorePage scores one candidate page against the seed pair weights, in
-// annotation order — the floating-point accumulation order both Recommend
-// paths share.
+// annotation order — the floating-point accumulation order Recommend and
+// the corpus-scan oracle share.
 func scorePage(p *wiki.Page, title string, pairWeight map[string]float64, rank float64) (Recommendation, bool) {
 	var score float64
 	var shared []string

@@ -279,50 +279,33 @@ func (db *DB) execUpdate(s *UpdateStmt) (*ResultSet, error) {
 	if !ok {
 		return nil, fmt.Errorf("relational: no table %q", s.Table)
 	}
-	type change struct {
-		id  int64
-		row Row
+	ids, rows, err := db.matchRows(t, s.Where)
+	if err != nil {
+		return nil, err
 	}
-	var changes []change
-	var evalErr error
-	scanCandidates(t, s.Where, func(id int64, row Row) bool {
-		ctx := &evalContext{bindings: []binding{{name: t.Name, schema: t.Schema, row: row}}}
-		if s.Where != nil {
-			v, err := eval(ctx, s.Where)
-			if err != nil {
-				evalErr = err
-				return false
-			}
-			if v.IsNull() || !truthy(v) {
-				return true
-			}
-		}
-		updated := row.Clone()
+	ctx := &evalContext{bindings: []binding{{name: t.Name, schema: t.Schema}}}
+	updated := make([]Row, len(rows))
+	for i, row := range rows {
+		ctx.bindings[0].row = row
+		updated[i] = row.Clone()
 		for _, a := range s.Set {
 			pos, ok := t.Schema.ColumnIndex(a.Column)
 			if !ok {
-				evalErr = fmt.Errorf("relational: no column %q in %s", a.Column, s.Table)
-				return false
+				return nil, fmt.Errorf("relational: no column %q in %s", a.Column, s.Table)
 			}
 			v, err := eval(ctx, a.Value)
 			if err != nil {
-				evalErr = err
-				return false
+				return nil, err
 			}
-			updated[pos] = v
+			updated[i][pos] = v
 		}
-		changes = append(changes, change{id: id, row: updated})
-		return true
-	})
-	if evalErr != nil {
-		return nil, evalErr
 	}
-	for _, ch := range changes {
-		if err := t.Update(ch.id, ch.row); err != nil {
+	for i, id := range ids {
+		if err := t.Update(id, updated[i]); err != nil {
 			return nil, err
 		}
 	}
-	return &ResultSet{RowsAffected: len(changes)}, nil
+	return &ResultSet{RowsAffected: len(ids)}, nil
 }
 
 func (db *DB) execDelete(s *DeleteStmt) (*ResultSet, error) {
@@ -330,25 +313,9 @@ func (db *DB) execDelete(s *DeleteStmt) (*ResultSet, error) {
 	if !ok {
 		return nil, fmt.Errorf("relational: no table %q", s.Table)
 	}
-	var ids []int64
-	var evalErr error
-	scanCandidates(t, s.Where, func(id int64, row Row) bool {
-		if s.Where != nil {
-			ctx := &evalContext{bindings: []binding{{name: t.Name, schema: t.Schema, row: row}}}
-			v, err := eval(ctx, s.Where)
-			if err != nil {
-				evalErr = err
-				return false
-			}
-			if v.IsNull() || !truthy(v) {
-				return true
-			}
-		}
-		ids = append(ids, id)
-		return true
-	})
-	if evalErr != nil {
-		return nil, evalErr
+	ids, _, err := db.matchRows(t, s.Where)
+	if err != nil {
+		return nil, err
 	}
 	for _, id := range ids {
 		t.Delete(id)
@@ -356,26 +323,39 @@ func (db *DB) execDelete(s *DeleteStmt) (*ResultSet, error) {
 	return &ResultSet{RowsAffected: len(ids)}, nil
 }
 
-// scanCandidates feeds fn the rows a WHERE clause could match, narrowing
-// through an index when the clause has an indexable conjunct (the same
-// planning SELECT uses). The caller still re-checks the full predicate per
-// row, so over-matching is harmless. This is what keeps the repository's
-// per-page reprojection (DELETE ... WHERE page = 'x' on every PutPage) at
-// O(rows of that page) instead of a full-table scan.
-func scanCandidates(t *Table, where Expr, fn func(id int64, row Row) bool) {
+// matchRows returns the rows of t that satisfy where (all rows when nil),
+// in ascending id order. The access path is planned exactly like a
+// single-table SELECT's — planAccess's index intersection and pushed
+// filters, fetched through a scanNode — so UPDATE/DELETE are costed and
+// counted in the planner stats with everything else. This is what keeps
+// the repository's per-page reprojection (DELETE ... WHERE page = 'x' on
+// every PutPage) at O(rows of that page). As in SELECT's Filter node, the
+// full WHERE is re-checked per candidate.
+func (db *DB) matchRows(t *Table, where Expr) ([]int64, []Row, error) {
+	src := selSource{ref: TableRef{Table: t.Name}, table: t}
+	var conjs []conjInfo
 	if where != nil {
-		if ids, ok := indexLookupIDs(t, t.Name, where); ok {
-			// Sort for the same deterministic visit order Scan gives.
-			sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-			for _, id := range ids {
-				if row, live := t.Get(id); live {
-					if !fn(id, row) {
-						return
-					}
-				}
-			}
-			return
-		}
+		conjs = analyzeConjuncts(where, []selSource{src})
 	}
-	t.Scan(fn)
+	sn := newScanNode(0, src, planAccess(src, conjs, false, false))
+	p := &selectPlan{binds: []planBind{{name: t.Name, schema: t.Schema, table: t}}}
+	ids, rows, err := sn.fetch(newPlanExec(db, p))
+	if err != nil || where == nil {
+		return ids, rows, err
+	}
+	ctx := &evalContext{bindings: []binding{{name: t.Name, schema: t.Schema}}}
+	n := 0
+	for i, row := range rows {
+		ctx.bindings[0].row = row
+		v, err := eval(ctx, where)
+		if err != nil {
+			return nil, nil, err
+		}
+		if v.IsNull() || !truthy(v) {
+			continue
+		}
+		ids[n], rows[n] = ids[i], row
+		n++
+	}
+	return ids[:n], rows[:n], nil
 }

@@ -36,20 +36,28 @@ func renderResult(rs *ResultSet) string {
 func seedEquivalenceDB(t *testing.T, rng *rand.Rand) *DB {
 	t.Helper()
 	db := NewDB()
-	mustExec := func(sql string) {
-		t.Helper()
+	for _, sql := range equivalenceStatements(rng) {
 		if _, err := db.Exec(sql); err != nil {
 			t.Fatalf("%s: %v", sql, err)
 		}
 	}
-	mustExec(`CREATE TABLE sensors (id INT PRIMARY KEY, site TEXT, kind TEXT, temp FLOAT, active BOOL)`)
-	mustExec(`CREATE INDEX idx_sensors_kind ON sensors (kind)`)
-	mustExec(`CREATE INDEX idx_sensors_temp ON sensors (temp)`)
-	mustExec(`CREATE TABLE readings (id INT PRIMARY KEY, sensor_id INT, val FLOAT, page TEXT)`)
-	mustExec(`CREATE INDEX idx_readings_sensor ON readings (sensor_id)`)
-	mustExec(`CREATE INDEX idx_readings_val ON readings (val)`)
-	mustExec(`CREATE TABLE tags (id INT PRIMARY KEY, sensor_id INT, label TEXT)`)
-	mustExec(`CREATE INDEX idx_tags_label ON tags (label)`)
+	return db
+}
+
+// equivalenceStatements generates the DDL and INSERTs behind
+// seedEquivalenceDB, so a test can replay the same rows into differently
+// indexed databases.
+func equivalenceStatements(rng *rand.Rand) []string {
+	stmts := []string{
+		`CREATE TABLE sensors (id INT PRIMARY KEY, site TEXT, kind TEXT, temp FLOAT, active BOOL)`,
+		`CREATE INDEX idx_sensors_kind ON sensors (kind)`,
+		`CREATE INDEX idx_sensors_temp ON sensors (temp)`,
+		`CREATE TABLE readings (id INT PRIMARY KEY, sensor_id INT, val FLOAT, page TEXT)`,
+		`CREATE INDEX idx_readings_sensor ON readings (sensor_id)`,
+		`CREATE INDEX idx_readings_val ON readings (val)`,
+		`CREATE TABLE tags (id INT PRIMARY KEY, sensor_id INT, label TEXT)`,
+		`CREATE INDEX idx_tags_label ON tags (label)`,
+	}
 
 	kinds := []string{"temp", "hum", "co2"}
 	sites := []string{"roof", "lab", "yard", "hall"}
@@ -61,7 +69,7 @@ func seedEquivalenceDB(t *testing.T, rng *rand.Rand) *DB {
 		if rng.Intn(6) == 0 {
 			temp = "NULL"
 		}
-		mustExec(fmt.Sprintf("INSERT INTO sensors VALUES (%d, '%s', '%s', %s, %v)",
+		stmts = append(stmts, fmt.Sprintf("INSERT INTO sensors VALUES (%d, '%s', '%s', %s, %v)",
 			i, sites[rng.Intn(len(sites))], kinds[rng.Intn(len(kinds))], temp, rng.Intn(2) == 0))
 	}
 	nr := 10 + rng.Intn(110)
@@ -71,15 +79,15 @@ func seedEquivalenceDB(t *testing.T, rng *rand.Rand) *DB {
 			val = "NULL"
 		}
 		// sensor_id occasionally dangles past the sensor range.
-		mustExec(fmt.Sprintf("INSERT INTO readings VALUES (%d, %d, %s, 'p%d')",
+		stmts = append(stmts, fmt.Sprintf("INSERT INTO readings VALUES (%d, %d, %s, 'p%d')",
 			i, rng.Intn(ns+3), val, rng.Intn(5)))
 	}
 	nt := rng.Intn(40)
 	for i := 0; i < nt; i++ {
-		mustExec(fmt.Sprintf("INSERT INTO tags VALUES (%d, %d, '%s')",
+		stmts = append(stmts, fmt.Sprintf("INSERT INTO tags VALUES (%d, %d, '%s')",
 			i, rng.Intn(ns+2), labels[rng.Intn(len(labels))]))
 	}
-	return db
+	return stmts
 }
 
 // randomSelect generates a SELECT over the equivalence schema: joins (INNER

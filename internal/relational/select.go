@@ -94,14 +94,7 @@ func (db *DB) compileSelect(s *SelectStmt, fallback bool) (*selectPlan, error) {
 	// WHERE conjunct analysis (planned mode only).
 	var conjs []conjInfo
 	if !fallback && s.Where != nil {
-		for _, e := range whereConjuncts(s.Where) {
-			mask, resolvable := conjunctMask(e, sources)
-			ci := conjInfo{e: e, mask: mask, single: -1, safe: resolvable && safePushdown(e)}
-			if resolvable && bits.OnesCount64(mask) == 1 {
-				ci.single = bits.TrailingZeros64(mask)
-			}
-			conjs = append(conjs, ci)
-		}
+		conjs = analyzeConjuncts(s.Where, sources)
 	}
 
 	// The right side of a LEFT JOIN must not be narrowed before the join:
@@ -176,24 +169,7 @@ func (db *DB) compileSelect(s *SelectStmt, fallback bool) (*selectPlan, error) {
 	}
 
 	makeScan := func(slot int) *scanNode {
-		pos := order[slot]
-		ap := access[pos]
-		op, detail := opTableScan, scanDetail(sources[pos])
-		if len(ap.conds) > 0 {
-			op = opIndexScan
-			ds := make([]string, len(ap.conds))
-			for i, c := range ap.conds {
-				ds[i] = c.desc
-			}
-			detail += ": " + strings.Join(ds, " AND ")
-		}
-		return &scanNode{
-			bind:    slot,
-			table:   sources[pos].table,
-			conds:   ap.conds,
-			filters: ap.filters,
-			en:      &explain.Node{Op: op, Detail: detail, Est: roundEst(ap.est)},
-		}
+		return newScanNode(slot, sources[order[slot]], access[order[slot]])
 	}
 
 	// OrderByIndex: a single-table ORDER BY on an indexed column can walk
@@ -356,6 +332,43 @@ func (db *DB) compileSelect(s *SelectStmt, fallback bool) (*selectPlan, error) {
 
 	db.planner.planBuilt(reordered)
 	return p, nil
+}
+
+// analyzeConjuncts splits a WHERE clause into its top-level AND conjuncts
+// and records which sources each one references and whether it may be
+// pushed down.
+func analyzeConjuncts(where Expr, sources []selSource) []conjInfo {
+	var conjs []conjInfo
+	for _, e := range whereConjuncts(where) {
+		mask, resolvable := conjunctMask(e, sources)
+		ci := conjInfo{e: e, mask: mask, single: -1, safe: resolvable && safePushdown(e)}
+		if resolvable && bits.OnesCount64(mask) == 1 {
+			ci.single = bits.TrailingZeros64(mask)
+		}
+		conjs = append(conjs, ci)
+	}
+	return conjs
+}
+
+// newScanNode builds the scan of one source at a plan bind slot along its
+// chosen access path.
+func newScanNode(slot int, src selSource, ap sourceAccess) *scanNode {
+	op, detail := opTableScan, scanDetail(src)
+	if len(ap.conds) > 0 {
+		op = opIndexScan
+		ds := make([]string, len(ap.conds))
+		for i, c := range ap.conds {
+			ds[i] = c.desc
+		}
+		detail += ": " + strings.Join(ds, " AND ")
+	}
+	return &scanNode{
+		bind:    slot,
+		table:   src.table,
+		conds:   ap.conds,
+		filters: ap.filters,
+		en:      &explain.Node{Op: op, Detail: detail, Est: roundEst(ap.est)},
+	}
 }
 
 // sourceAccess is the chosen access path for one table slot.
@@ -802,8 +815,8 @@ func safePushdown(e Expr) bool {
 }
 
 // indexCondFor matches `col op literal` (either side) against the source's
-// indexes, the same shapes indexLookupIDs accepts, and prices the lookup
-// exactly via the index's O(log n) count methods.
+// indexes and prices the lookup exactly via the index's O(log n) count
+// methods.
 func indexCondFor(e Expr, src selSource) (indexCond, bool) {
 	b, ok := e.(*Binary)
 	if !ok {
@@ -1048,86 +1061,4 @@ func selectLabel(se SelectExpr) string {
 		return strings.ToLower(e.Name)
 	}
 	return "expr"
-}
-
-// indexLookupIDs walks the top-level AND conjuncts of a WHERE expression
-// looking for `col = literal` or a range bound on an indexed column of the
-// table. It returns candidate row ids and whether an index was usable; the
-// full predicate is still re-checked per row afterwards, so over-matching
-// is harmless. UPDATE/DELETE narrow their scans through it; SELECT uses
-// the richer planner above.
-func indexLookupIDs(t *Table, tableName string, where Expr) ([]int64, bool) {
-	var conjuncts []Expr
-	var collect func(e Expr)
-	collect = func(e Expr) {
-		if b, ok := e.(*Binary); ok && b.Op == "AND" {
-			collect(b.L)
-			collect(b.R)
-			return
-		}
-		conjuncts = append(conjuncts, e)
-	}
-	collect(where)
-
-	colOf := func(e Expr) (string, bool) {
-		ref, ok := e.(*ColumnRef)
-		if !ok {
-			return "", false
-		}
-		if ref.Table != "" && !strings.EqualFold(ref.Table, tableName) {
-			return "", false
-		}
-		return ref.Name, true
-	}
-	litOf := func(e Expr) (Value, bool) {
-		l, ok := e.(*Literal)
-		if !ok {
-			return Value{}, false
-		}
-		return l.Val, true
-	}
-
-	for _, e := range conjuncts {
-		b, ok := e.(*Binary)
-		if !ok {
-			continue
-		}
-		col, lit, op := "", Value{}, b.Op
-		if c, okc := colOf(b.L); okc {
-			if v, okl := litOf(b.R); okl {
-				col, lit = c, v
-			}
-		} else if c, okc := colOf(b.R); okc {
-			if v, okl := litOf(b.L); okl {
-				col, lit = c, v
-				// flip the operator for literal-on-left ranges
-				switch op {
-				case "<":
-					op = ">"
-				case "<=":
-					op = ">="
-				case ">":
-					op = "<"
-				case ">=":
-					op = "<="
-				}
-			}
-		}
-		if col == "" {
-			continue
-		}
-		idx, ok := t.Index(col)
-		if !ok {
-			continue
-		}
-		switch op {
-		case "=":
-			return idx.Lookup(lit), true
-		case "<", "<=":
-			return idx.Range(Null(), false, lit, true), true
-		case ">", ">=":
-			return idx.Range(lit, true, Null(), false), true
-		}
-	}
-	return nil, false
 }

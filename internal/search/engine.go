@@ -498,9 +498,9 @@ func resultLessKeyed(key SortKey, order Order) func(a, b Result) bool {
 // fusedResultLess builds the comparator of the alpha-fused display order:
 // combined = alpha·(relevance/maxRel) + (1−alpha)·(rank/maxRank),
 // descending, ties broken by title — exactly the arithmetic of the legacy
-// ranking.Fuse re-sort (division by the matching set's maxima, zero when a
-// maximum is zero), so in-executor fusion reproduces the legacy ordering
-// bit for bit. An explicit ascending Order reverses the strict total
+// post-hoc re-sort (division by the matching set's maxima, zero when a
+// maximum is zero; refFuse in the tests is that oracle), so in-executor
+// fusion reproduces the legacy ordering bit for bit. An explicit ascending Order reverses the strict total
 // order.
 func fusedResultLess(alpha, maxRel, maxRank float64, order Order) func(a, b Result) bool {
 	combined := func(r Result) float64 {

@@ -11,11 +11,11 @@ import (
 	"repro/internal/smr"
 )
 
-// refFuse is the legacy post-hoc fusion (ranking.Ranker.Fuse's arithmetic,
-// reimplemented here to avoid the import cycle): normalize relevance and
-// rank by their maxima over the result set, order by
-// alpha·rel + (1−alpha)·rank descending, title tie-break. The in-executor
-// fusion must reproduce this ordering exactly.
+// refFuse is the legacy post-hoc fusion, kept here as the oracle of the
+// in-executor fusion: normalize relevance and rank by their maxima over the
+// result set, order by alpha·rel + (1−alpha)·rank descending, title
+// tie-break, with alpha clamped to [0,1]. The executor must reproduce this
+// ordering exactly.
 func refFuse(rs []Result, alpha float64) []Result {
 	if alpha < 0 {
 		alpha = 0
@@ -57,12 +57,28 @@ func refFuse(rs []Result, alpha float64) []Result {
 func fusionFixture(t testing.TB, sensors int) *Engine {
 	t.Helper()
 	_, e := executeFixture(t, sensors)
+	e.SetRanks(syntheticRanks(e))
+	return e
+}
+
+// syntheticRanks is the PageRank vector fusionFixture installs.
+func syntheticRanks(e *Engine) map[string]float64 {
 	ranks := map[string]float64{}
 	for i, title := range e.repo.Wiki.Titles() {
 		ranks[title] = float64((i*37)%101) / 101
 	}
-	e.SetRanks(ranks)
-	return e
+	return ranks
+}
+
+// fusionExprs are the expression shapes the fusion tests run under.
+var fusionExprs = []query.Expr{
+	query.Keyword{Text: "sensor station", Any: true},
+	query.And{Children: []query.Expr{
+		query.Keyword{Text: "sensor", Any: true},
+		query.Namespace{Name: "Sensor"},
+	}},
+	query.Property{Name: "measures", Op: query.OpEq, Value: "temperature"}, // relevance all-zero
+	query.All{},
 }
 
 // TestAlphaFusionMatchesLegacyReSort pins the tentpole equivalence: for a
@@ -71,15 +87,7 @@ func fusionFixture(t testing.TB, sensors int) *Engine {
 // Limit returns exactly the head of that ordering.
 func TestAlphaFusionMatchesLegacyReSort(t *testing.T) {
 	e := fusionFixture(t, 90)
-	exprs := []query.Expr{
-		query.Keyword{Text: "sensor station", Any: true},
-		query.And{Children: []query.Expr{
-			query.Keyword{Text: "sensor", Any: true},
-			query.Namespace{Name: "Sensor"},
-		}},
-		query.Property{Name: "measures", Op: query.OpEq, Value: "temperature"}, // relevance all-zero
-		query.All{},
-	}
+	exprs := fusionExprs
 	for _, alpha := range []float64{0, 0.25, 0.5, 0.75, 1} {
 		for i, expr := range exprs {
 			baseline, err := e.Execute(expr, ExecOptions{})
@@ -103,6 +111,52 @@ func TestAlphaFusionMatchesLegacyReSort(t *testing.T) {
 			if wantHead := head(want, 7); !reflect.DeepEqual(limited.Results, wantHead) {
 				t.Fatalf("alpha %v expr %d: top-7 fused page diverges\ngot  %v\nwant %v",
 					alpha, i, limited.Results, wantHead)
+			}
+		}
+	}
+}
+
+// TestAlphaFusionClampsAndFillsRank pins what the legacy re-sort's own
+// tests checked, now on the executor: an alpha outside [0,1] clamps to the
+// nearest end instead of corrupting the order, and every fused result
+// carries its page's PageRank score in Rank.
+func TestAlphaFusionClampsAndFillsRank(t *testing.T) {
+	e := fusionFixture(t, 90)
+	ranks := syntheticRanks(e)
+	for i, expr := range fusionExprs {
+		baseline, err := e.Execute(expr, ExecOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range []struct{ alpha, clamped float64 }{{7, 1}, {-3, 0}} {
+			a, edge := c.alpha, c.clamped
+			fused, err := e.Execute(expr, ExecOptions{Alpha: &a})
+			if err != nil {
+				t.Fatalf("expr %d alpha %v: %v", i, a, err)
+			}
+			want := refFuse(append([]Result(nil), baseline.Results...), a)
+			if !reflect.DeepEqual(fused.Results, want) {
+				t.Fatalf("expr %d alpha %v: diverges from the legacy re-sort\ngot  %v\nwant %v",
+					i, a, head(fused.Results, 5), head(want, 5))
+			}
+			atEdge, err := e.Execute(expr, ExecOptions{Alpha: &edge})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(fused.Results, atEdge.Results) {
+				t.Fatalf("expr %d: alpha %v does not clamp to %v", i, a, edge)
+			}
+			ranked := 0
+			for _, r := range fused.Results {
+				if r.Rank != ranks[r.Title] {
+					t.Fatalf("expr %d alpha %v: %s has Rank %v, want %v", i, a, r.Title, r.Rank, ranks[r.Title])
+				}
+				if r.Rank > 0 {
+					ranked++
+				}
+			}
+			if len(fused.Results) > 0 && ranked == 0 {
+				t.Fatalf("expr %d alpha %v: no fused result carries a rank", i, a)
 			}
 		}
 	}
@@ -350,4 +404,49 @@ func TestFacetIndexHonoursACL(t *testing.T) {
 	if restricted.Matched >= anon.Matched {
 		t.Fatalf("ACL did not bite: restricted %d vs anonymous %d", restricted.Matched, anon.Matched)
 	}
+}
+
+// BenchmarkAlphaFusion measures the relevance/PageRank fusion on the
+// query shape the interface serves (20 fused results of a keyword query):
+// the legacy path materializes and fully sorts every match, then re-sorts
+// the whole set under the fused score (refFuse) and truncates; the
+// in-executor path buffers the matching set once and heap-selects the
+// fused top 20 — O(n log k) instead of two O(n log n) sorts.
+func BenchmarkAlphaFusion(b *testing.B) {
+	e := fusionFixture(b, 5000)
+	expr := query.Keyword{Text: "sensor temperature", Any: true}
+	alpha := 0.5
+	fused, err := e.Execute(expr, ExecOptions{Alpha: &alpha, Limit: 20})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if len(fused.Results) != 20 {
+		b.Fatalf("fused page has %d results", len(fused.Results))
+	}
+	b.Run("legacy-resort", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			res, err := e.Execute(expr, ExecOptions{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			rs := refFuse(res.Results, alpha)
+			if len(rs) > 20 {
+				rs = rs[:20]
+			}
+			if rs[0].Title != fused.Results[0].Title {
+				b.Fatalf("orderings diverge: %s vs %s", rs[0].Title, fused.Results[0].Title)
+			}
+		}
+	})
+	b.Run("in-executor", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			res, err := e.Execute(expr, ExecOptions{Alpha: &alpha, Limit: 20})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if res.Results[0].Title != fused.Results[0].Title {
+				b.Fatal("orderings diverge")
+			}
+		}
+	})
 }

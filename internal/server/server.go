@@ -380,13 +380,15 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	out := struct {
-		Count   int                       `json:"count"`
-		Matched int                       `json:"matched,omitempty"`
+		Count int `json:"count"`
+		// Matched is a pointer so a facet request reports a zero-match
+		// total as 0 instead of dropping the field.
+		Matched *int                      `json:"matched,omitempty"`
 		Results []resultItem              `json:"results"`
 		Facets  map[string]map[string]int `json:"facets,omitempty"`
 	}{Count: len(rs), Results: s.resultItems(rs, r.URL.Query().Get("q"))}
 	if len(facetProps) > 0 {
-		out.Facets, out.Matched = facets, matched
+		out.Facets, out.Matched = facets, &matched
 	}
 	writeJSON(w, out)
 }

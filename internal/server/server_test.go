@@ -410,6 +410,26 @@ func TestSearchFacetsParam(t *testing.T) {
 	}
 }
 
+// TestSearchFacetsZeroMatches pins the documented presence rule for
+// `matched`: a facet request reports the total even when it is 0, and a
+// request without facets leaves it out.
+func TestSearchFacetsZeroMatches(t *testing.T) {
+	_, ts := newTestServer(t)
+	var out map[string]json.RawMessage
+	getJSON(t, ts.URL+"/api/search?q=zzznomatchzzz&facet=measures", &out)
+	if got := string(out["matched"]); got != "0" {
+		t.Errorf("matched = %q with a facet requested and no match, want 0", got)
+	}
+	if got := string(out["count"]); got != "0" {
+		t.Errorf("count = %q, want 0", got)
+	}
+	out = nil
+	getJSON(t, ts.URL+"/api/search?q=zzznomatchzzz", &out)
+	if m, ok := out["matched"]; ok {
+		t.Errorf("matched = %s without a facet request, want absent", m)
+	}
+}
+
 func TestValuesWithCounts(t *testing.T) {
 	_, ts := newTestServer(t)
 	var out []struct {

@@ -17,15 +17,12 @@ import (
 // component so an edit invalidates only the cliques of the components it
 // touched. FetchTagData remains the from-scratch Parser path, used as the
 // fallback when the journal's bounded window has been trimmed past the
-// pipeline's position (and by the DisableCache ablation).
+// pipeline's position; BuildCloud(FetchTagData()) is the uncached chain
+// the ablation benchmarks compare against.
 type Pipeline struct {
 	repo *smr.Repository
 	// IncludeAnnotations folds metadata property values in as tags.
 	IncludeAnnotations bool
-	// DisableCache turns all caching and incremental maintenance off and
-	// recomputes the full Parser → Matrix → Graph → Clique chain on every
-	// call (ablation benchmark).
-	DisableCache bool
 
 	mu      sync.Mutex
 	store   *tagStore             // nil until first use
@@ -182,14 +179,6 @@ func (p *Pipeline) Cloud(opts CloudOptions) (*Cloud, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	opts = opts.withDefaults()
-	if p.DisableCache {
-		p.stats.CacheMisses++
-		td, err := p.FetchTagData()
-		if err != nil {
-			return nil, err
-		}
-		return BuildCloud(td, opts), nil
-	}
 	if _, err := p.updateLocked(); err != nil {
 		return nil, err
 	}

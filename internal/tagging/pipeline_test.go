@@ -95,20 +95,6 @@ func TestPipelineCache(t *testing.T) {
 	}
 }
 
-func TestPipelineCacheDisabled(t *testing.T) {
-	_, p := pipelineFixture(t)
-	p.DisableCache = true
-	for i := 0; i < 3; i++ {
-		if _, err := p.Cloud(CloudOptions{UsePivot: true}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	hits, misses := p.CacheStats()
-	if hits != 0 || misses != 3 {
-		t.Errorf("disabled cache stats = %d hits, %d misses", hits, misses)
-	}
-}
-
 func TestPipelineCloudContents(t *testing.T) {
 	_, p := pipelineFixture(t)
 	cloud, err := p.Cloud(CloudOptions{UsePivot: true})

@@ -474,14 +474,6 @@ func (s *System) SearchFused(q search.Query, alpha float64) ([]search.Result, er
 	return s.Engine.Search(q)
 }
 
-// Fuse re-orders already-materialized results by the PageRank/relevance
-// fusion — the legacy post-hoc re-sort (ranking.Ranker.Fuse), kept for
-// callers that produced the results elsewhere and as the baseline the
-// alpha-fusion benchmark compares the in-executor path against.
-func (s *System) Fuse(rs []search.Result, alpha float64) []search.Result {
-	return s.ranker().Fuse(rs, alpha)
-}
-
 // Autocomplete suggests query completions.
 func (s *System) Autocomplete(prefix string, k int) []search.Completion {
 	return s.Engine.Autocomplete(prefix, k)
