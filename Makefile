@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build fmt vet lint test race vuln
+.PHONY: all build fmt vet lint test race vuln loc
 
 all: build fmt vet lint test
 
@@ -29,6 +29,11 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# Non-test Go line count (benchmark module and analyzer fixtures excluded),
+# the figure simplification changes report before and after.
+loc:
+	@git ls-files '*.go' | grep -v -e '_test\.go$$' -e '^perfbench/' -e '/testdata/' | xargs cat | wc -l
 
 # Pinned govulncheck (matches .github/workflows/ci.yml); requires network.
 vuln:

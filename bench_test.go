@@ -24,7 +24,6 @@ import (
 
 	"repro/internal/geo"
 	"repro/internal/pagerank"
-	"repro/internal/query"
 	"repro/internal/recommend"
 	"repro/internal/relational"
 	"repro/internal/search"
@@ -32,7 +31,6 @@ import (
 	"repro/internal/tagging"
 	"repro/internal/viz"
 	"repro/internal/wal"
-	"repro/internal/wiki"
 	"repro/internal/workload"
 )
 
@@ -99,7 +97,14 @@ func BenchmarkFig3bSolverTime(b *testing.B) {
 // once per benchmark.
 func benchSystem(b *testing.B, sensors int) *System {
 	b.Helper()
-	sys, err := New()
+	return benchSystemShards(b, sensors, 0)
+}
+
+// benchSystemShards is benchSystem with a construction-time shard count
+// (<= 0 selects the default).
+func benchSystemShards(b *testing.B, sensors, shards int) *System {
+	b.Helper()
+	sys, err := NewShards(shards)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -740,111 +745,9 @@ func BenchmarkFacetCounts(b *testing.B) {
 	})
 }
 
-// BenchmarkFacetIndexVsStream measures filter-only facet counting: the
-// streaming baseline enumerates the pruned candidate set and evaluates
-// every page (fetch + query.Eval + PropertyValues accumulation), the index
-// path answers by posting-set arithmetic alone (exact match set ∩
-// per-raw-value postings, occurrence counts summed) — no page is fetched
-// or evaluated. Two query shapes: a broad namespace scope (counts over
-// most of the corpus) and a selective property filter.
-func BenchmarkFacetIndexVsStream(b *testing.B) {
-	sys := benchSystemShared(b, 5000)
-	sensors := sys.Repo.Wiki.PagesInNamespace("Sensor")
-	page, ok := sys.Repo.Wiki.Get(sensors[0])
-	if !ok {
-		b.Fatal("missing sensor page")
-	}
-	dep := page.PropertyValues("partOf")[0]
-	props := []string{"measures", "status"}
-	shapes := []struct {
-		name string
-		expr query.Expr
-	}{
-		{"broad", query.Namespace{Name: "Sensor"}},
-		{"selective", query.Property{Name: "partof", Op: query.OpEq, Value: dep}},
-	}
-	for _, shape := range shapes {
-		want, err := sys.Engine.Execute(shape.expr, search.ExecOptions{
-			CountOnly: true, Facets: props,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, c := range []struct {
-			name    string
-			noIndex bool
-		}{{"stream", true}, {"indexed", false}} {
-			b.Run(shape.name+"/"+c.name, func(b *testing.B) {
-				b.ReportMetric(float64(want.Matched), "matches")
-				for i := 0; i < b.N; i++ {
-					res, err := sys.Engine.Execute(shape.expr, search.ExecOptions{
-						CountOnly: true, Facets: props, DisableFacetIndex: c.noIndex,
-					})
-					if err != nil {
-						b.Fatal(err)
-					}
-					if res.Matched != want.Matched {
-						b.Fatalf("matched %d, want %d", res.Matched, want.Matched)
-					}
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkFilterPushdown measures the executor's candidate pruning on a
-// selective-filter keyword query (the filter matches well under 5% of the
-// corpus): the score-then-filter baseline scores every "sensor" posting
-// before filtering, the pruned path intersects the (property, value)
-// posting set first and scores keywords only over the survivors.
-func BenchmarkFilterPushdown(b *testing.B) {
-	sys := benchSystemShared(b, 5000)
-	sensors := sys.Repo.Wiki.PagesInNamespace("Sensor")
-	page, ok := sys.Repo.Wiki.Get(sensors[0])
-	if !ok {
-		b.Fatal("missing sensor page")
-	}
-	dep := page.PropertyValues("partOf")[0]
-	expr := query.And{Children: []query.Expr{
-		query.Keyword{Text: "sensor", Any: true},
-		query.Property{Name: "partof", Op: query.OpEq, Value: dep},
-	}}
-	sel, err := sys.Engine.Execute(expr, search.ExecOptions{CountOnly: true})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if hi := len(sensors) / 20; sel.Matched == 0 || sel.Matched > hi {
-		b.Fatalf("filter matches %d of %d sensors; want selective (<%d)", sel.Matched, len(sensors), hi)
-	}
-	for _, shards := range benchShardCounts() {
-		eng := search.NewEngineShards(sys.Repo, shards)
-		eng.SetRanks(sys.Ranker.Scores())
-		for _, c := range []struct {
-			name    string
-			noPrune bool
-		}{{"score-then-filter", true}, {"pruned", false}} {
-			b.Run(fmt.Sprintf("shards=%d/%s", shards, c.name), func(b *testing.B) {
-				b.ReportMetric(float64(sel.Matched), "matches")
-				for i := 0; i < b.N; i++ {
-					res, err := eng.Execute(expr, search.ExecOptions{
-						Limit: 20, DisablePruning: c.noPrune,
-					})
-					if err != nil {
-						b.Fatal(err)
-					}
-					if res.Matched != sel.Matched {
-						b.Fatalf("matched %d, want %d", res.Matched, sel.Matched)
-					}
-				}
-			})
-		}
-	}
-}
-
 // BenchmarkTopKSearch compares materialize-and-fully-sort result execution
 // against the bounded-heap Limit pushdown, on the query shape the paper's
-// interface actually serves (20 results per page), at both the engine and
-// the raw index level.
+// interface actually serves (20 results per page).
 func BenchmarkTopKSearch(b *testing.B) {
 	sys := benchSystemShared(b, 5000)
 	kw := "temperature sensor"
@@ -866,20 +769,6 @@ func BenchmarkTopKSearch(b *testing.B) {
 			}
 		})
 	}
-	ix := search.NewIndex()
-	sys.Repo.Wiki.Each(func(p *wiki.Page) {
-		ix.Add(p.Title.String(), p.Title.String()+"\n"+p.Text())
-	})
-	b.Run("index/full-sort", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			ix.Search(kw, search.ModeAny)
-		}
-	})
-	b.Run("index/top-20", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			ix.SearchTopK(kw, search.ModeAny, 20)
-		}
-	})
 }
 
 // benchDurableSystem opens a throwaway durable system in a fresh tempdir.

@@ -57,8 +57,8 @@ type Config struct {
 	// BatchMax caps records per fetch (default 1024).
 	BatchMax int
 	// Shards partitions the local search engine at construction time
-	// (<= 0 selects the default), keeping the shard epoch at zero just
-	// like a fresh primary started with the same count.
+	// (<= 0 selects the default). Cursors do not depend on it, so they
+	// resume across the primary and followers whatever their counts.
 	Shards int
 	// Clock supplies wall time for lag accounting (ReplicaLag,
 	// ReplicaStats). Defaults to time.Now; tests inject a fake clock so

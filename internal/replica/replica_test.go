@@ -17,6 +17,7 @@ import (
 	"time"
 
 	sensormeta "repro"
+	"repro/internal/query"
 	"repro/internal/replica/faultnet"
 	"repro/internal/search"
 	"repro/internal/server"
@@ -150,6 +151,32 @@ func assertConverged(t *testing.T, primary, follower *sensormeta.System) {
 		}
 	}
 
+	// Keyset cursors carry nothing about the shard layout: a cursor the
+	// primary minted resumes on the follower (built with a different
+	// shard count, see fastCfg) exactly where the primary would resume.
+	walkExpr := query.Namespace{Name: "Sensor"}
+	first, err := primary.Query(walkExpr, search.ExecOptions{SortBy: search.SortTitle, Limit: 7})
+	if err != nil || first.NextCursor == "" {
+		t.Fatalf("minting a cursor on the primary: %v (cursor %q)", err, first.NextCursor)
+	}
+	next := search.ExecOptions{SortBy: search.SortTitle, Limit: 7, Cursor: first.NextCursor}
+	wantNext, err := primary.Query(walkExpr, next)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotNext, err := follower.Query(walkExpr, next)
+	if err != nil {
+		t.Fatalf("primary cursor rejected by the follower: %v", err)
+	}
+	if len(gotNext.Results) != len(wantNext.Results) || len(gotNext.Results) == 0 {
+		t.Fatalf("resumed page: %d results on follower, %d on primary", len(gotNext.Results), len(wantNext.Results))
+	}
+	for i := range gotNext.Results {
+		if g, w := gotNext.Results[i].Title, wantNext.Results[i].Title; g != w {
+			t.Fatalf("resumed page result %d: %q on follower, %q on primary", i, g, w)
+		}
+	}
+
 	// Rank-sorted output: near-tied twins may legitimately swap order, so
 	// compare the match set and per-title ranks instead of positions.
 	rankQ := search.Query{Keywords: "deployment", SortBy: search.SortRank}
@@ -254,7 +281,12 @@ func fastCfg(t *testing.T, primaryURL, dir string) Config {
 		Backoff:      Backoff{Base: time.Millisecond, Max: 25 * time.Millisecond},
 		PollWait:     100 * time.Millisecond,
 		FetchTimeout: 5 * time.Second,
-		Logf:         t.Logf,
+		// Three shards differ from the primary's default, min(GOMAXPROCS,
+		// 8), on typical 2-, 4- and 8-CPU machines, so convergence and
+		// cursor resumption are checked across differently-partitioned
+		// engines.
+		Shards: 3,
+		Logf:   t.Logf,
 	}
 }
 

@@ -1,6 +1,7 @@
 package search
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -9,9 +10,9 @@ import (
 
 // TestFilterOnlyEvalSkipEquivalence pins the Eval-skip materialization: a
 // filter-only (keyword-free, exactly index-derivable) query with NO facets
-// requested now takes the exact-set fast path, and its results — order,
-// ranks, matched display pairs, totals, cursors — are identical to the
-// streaming baseline that evaluates every candidate.
+// requested takes the exact-set fast path, and its results — order,
+// ranks, matched display pairs, totals — are identical to the refExecute
+// oracle that evaluates every page; its cursors resume like offsets.
 func TestFilterOnlyEvalSkipEquivalence(t *testing.T) {
 	repo, e := executeFixture(t, 150)
 	e.SetRanks(map[string]float64{"Sensor:S-0001": 0.4, "Sensor:S-0007": 0.2})
@@ -32,19 +33,7 @@ func TestFilterOnlyEvalSkipEquivalence(t *testing.T) {
 		for _, sortBy := range []SortKey{SortRelevance, SortTitle, SortRank} {
 			for _, limit := range []int{0, 7} {
 				opts := ExecOptions{SortBy: sortBy, Limit: limit}
-				fast, err := e.Execute(expr, opts)
-				if err != nil {
-					t.Fatalf("expr %d fast: %v", i, err)
-				}
-				opts.DisableFacetIndex = true
-				slow, err := e.Execute(expr, opts)
-				if err != nil {
-					t.Fatalf("expr %d baseline: %v", i, err)
-				}
-				if !reflect.DeepEqual(fast, slow) {
-					t.Errorf("expr %d sort %s limit %d: eval-skip != baseline\n  fast %+v\n  slow %+v",
-						i, sortBy, limit, fast, slow)
-				}
+				fast := sameAsOracle(t, e, expr, opts, fmt.Sprintf("expr %d sort %s limit %d", i, sortBy, limit))
 				if fast.Matched == 0 {
 					t.Errorf("expr %d matched nothing; fixture too weak", i)
 				}
@@ -79,40 +68,38 @@ func TestFilterOnlyEvalSkipEquivalence(t *testing.T) {
 
 	// The fast path still honours the ACL.
 	repo.ACL.DenyPage("intruder", "Sensor:S-0000")
-	restricted, err := e.Execute(query.TitlePrefix{Prefix: "Sensor:S-000"},
-		ExecOptions{SortBy: SortTitle, User: "intruder"})
-	if err != nil {
-		t.Fatal(err)
-	}
+	restricted := sameAsOracle(t, e, query.TitlePrefix{Prefix: "Sensor:S-000"},
+		ExecOptions{SortBy: SortTitle, User: "intruder"}, "ACL")
 	for _, r := range restricted.Results {
 		if r.Title == "Sensor:S-0000" {
 			t.Fatal("eval-skip path leaked an ACL-denied page")
 		}
 	}
+
+	// A page deleted since the last refresh is still in the index's exact
+	// set, but the fast path must not serve it as a result.
+	repo.DeletePage("Sensor:S-0001")
+	sameAsOracle(t, e, expr, ExecOptions{SortBy: SortTitle, Limit: 5}, "deleted before refresh")
 }
 
 // BenchmarkFilterOnlyMaterialize measures result materialization for a
-// filter-only query page — the Eval-skip fast path against the
-// evaluate-every-candidate baseline.
+// filter-only query page — the Eval-skip fast path against the refExecute
+// oracle, a corpus scan that evaluates every page.
 func BenchmarkFilterOnlyMaterialize(b *testing.B) {
 	_, e := executeFixture(b, 2000)
 	expr := query.And{Children: []query.Expr{
 		query.Namespace{Name: "Sensor"},
 		query.Not{Child: query.Property{Name: "measures", Op: query.OpEq, Value: "humidity"}},
 	}}
-	for _, mode := range []struct {
-		name    string
-		disable bool
-	}{{"evalskip", false}, {"baseline", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			opts := ExecOptions{SortBy: SortTitle, Limit: 20, DisableFacetIndex: mode.disable}
+	opts := ExecOptions{SortBy: SortTitle, Limit: 20}
+	for _, arm := range []benchArm{
+		executeArm("evalskip", e, expr, opts),
+		oracleArm("baseline", e, expr, opts),
+	} {
+		b.Run(arm.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				res, err := e.Execute(expr, opts)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if res.Matched == 0 {
+				if res := arm.run(b); res.Matched == 0 {
 					b.Fatal("no matches")
 				}
 			}

@@ -38,15 +38,6 @@ type ExecOptions struct {
 	// CountOnly skips result materialization: only Matched and Facets are
 	// computed (the streaming facet path).
 	CountOnly bool
-	// DisablePruning skips candidate-set pruning and runs the legacy
-	// score-then-filter enumeration — the ablation baseline the pushdown
-	// benchmark compares against. It also disables the index-served facet
-	// fast path, which is built on the same candidate derivation.
-	DisablePruning bool
-	// DisableFacetIndex forces the streaming facet path even when the
-	// expression's match set is exactly index-derivable — the ablation
-	// baseline BenchmarkFacetIndexVsStream compares against.
-	DisableFacetIndex bool
 	// Explain attaches a plan tree to the result: per-shard enumeration
 	// strategy with the index's match estimate against the actual counts.
 	Explain bool
@@ -154,18 +145,15 @@ func (es estimator) EstimateLeaf(leaf query.Expr) int {
 
 // cursorPayload is the decoded keyset cursor: the sort key values of the
 // last item served, plus a signature binding the cursor to the query,
-// sort and fusion parameters it was minted for, and the shard epoch it
-// was minted under (Epoch): resharding repartitions the index, so cursors
-// from before a SetShards are rejected as stale instead of silently
-// paging a differently-partitioned engine. Ordinary refresh churn keeps
-// the epoch, so cursors survive index updates as before.
+// sort and fusion parameters it was minted for. Nothing in it depends on
+// the shard layout, so a cursor resumes on any engine over the same
+// corpus whatever its shard count, and survives index updates.
 type cursorPayload struct {
 	Sort  string  `json:"s"`
 	Order string  `json:"o"`
 	Rel   float64 `json:"r"`
 	Rank  float64 `json:"k"`
 	Title string  `json:"t"`
-	Epoch uint64  `json:"e"`
 	Sig   uint64  `json:"g"`
 }
 
@@ -191,7 +179,7 @@ func clamp01(v float64) float64 {
 	return v
 }
 
-func decodeCursor(s string, sig uint64, key SortKey, order Order, epoch uint64) (*cursorPayload, error) {
+func decodeCursor(s string, sig uint64, key SortKey, order Order) (*cursorPayload, error) {
 	var p cursorPayload
 	if err := DecodeCursorToken(s, &p); err != nil {
 		return nil, err
@@ -199,10 +187,6 @@ func decodeCursor(s string, sig uint64, key SortKey, order Order, epoch uint64) 
 	if p.Sig != sig || p.Sort != string(key) || p.Order != string(order) {
 		return nil, &query.Error{Code: "bad_cursor", Field: "cursor",
 			Message: "cursor was issued for a different query or sort order"}
-	}
-	if p.Epoch != epoch {
-		return nil, &query.Error{Code: "stale_cursor", Field: "cursor",
-			Message: "cursor predates a reshard of the index; restart the walk from the first page"}
 	}
 	return &p, nil
 }
@@ -215,11 +199,11 @@ func decodeCursor(s string, sig uint64, key SortKey, order Order, epoch uint64) 
 // Candidate pruning is the filter pushdown closing the old
 // score-every-posting-then-filter gap: when the expression's structural
 // leaves yield posting sets, the most selective sets are intersected
-// first and keywords are scored only over the surviving candidates
-// (Index.DocScore), never over the full posting lists. When no structural
-// candidates exist the executor falls back to driving enumeration from the
-// required keyword's postings (the legacy path), or a full corpus scan for
-// keyword-free queries.
+// first and keywords are scored only over the surviving candidates (a
+// compiled DocMatcher per page), never over the full posting lists. When
+// no structural candidates exist the executor falls back to driving
+// enumeration from the required keyword's postings (the legacy path), or
+// a full corpus scan for keyword-free queries.
 //
 // Two further index-native paths live here:
 //
@@ -256,7 +240,7 @@ func (e *Engine) Execute(expr query.Expr, opts ExecOptions) (*ExecResult, error)
 	}
 
 	e.mu.RLock()
-	shards, ranks, epoch := e.shards, e.ranks, e.epoch
+	shards, ranks := e.shards, e.ranks
 	e.mu.RUnlock()
 
 	// norm is what gets evaluated per page: deterministic for a given
@@ -299,7 +283,7 @@ func (e *Engine) Execute(expr query.Expr, opts ExecOptions) (*ExecResult, error)
 		sig = execCursorSignature(canonical, key, order, opts.Alpha)
 	}
 	if opts.Cursor != "" {
-		p, err := decodeCursor(opts.Cursor, sig, key, order, epoch)
+		p, err := decodeCursor(opts.Cursor, sig, key, order)
 		if err != nil {
 			return nil, err
 		}
@@ -359,18 +343,16 @@ func (e *Engine) Execute(expr query.Expr, opts ExecOptions) (*ExecResult, error)
 		// Exactness is decided by the expression's shape, so every shard
 		// takes the same branch here.
 		var exact []string
-		if !opts.DisablePruning && !opts.DisableFacetIndex {
-			if s, isExact, ok := sh.meta.candidates(norm, titles); ok && isExact {
-				kept := s[:0]
-				for _, t := range s {
-					if e.repo.ACL.CanRead(opts.User, t) {
-						kept = append(kept, t)
-					}
+		if s, isExact, ok := sh.meta.candidates(norm, titles); ok && isExact {
+			kept := s[:0]
+			for _, t := range s {
+				if e.repo.ACL.CanRead(opts.User, t) {
+					kept = append(kept, t)
 				}
-				exact, so.exact = kept, true
-				sh.meta.facetsInto(props, facets, exact)
-				props = nil
 			}
+			exact, so.exact = kept, true
+			sh.meta.facetsInto(props, facets, exact)
+			props = nil
 		}
 		if opts.CountOnly && so.exact {
 			so.matched = len(exact)
@@ -462,7 +444,7 @@ func (e *Engine) Execute(expr query.Expr, opts ExecOptions) (*ExecResult, error)
 			}
 			attachPlan("ExactSet", "index-derived match set", len(exact))
 		} else {
-			op, detail, scanned := e.enumerate(sh, planned, titles, driver, hasDriverLeaf, opts.DisablePruning, visit)
+			op, detail, scanned := e.enumerate(sh, planned, titles, driver, hasDriverLeaf, visit)
 			attachPlan(op, detail, scanned)
 		}
 		if sel != nil {
@@ -622,7 +604,7 @@ func (e *Engine) Execute(expr query.Expr, opts ExecOptions) (*ExecResult, error)
 		res.NextCursor = EncodeCursorToken(cursorPayload{
 			Sort: string(key), Order: string(order),
 			Rel: last.Relevance, Rank: last.Rank, Title: last.Title,
-			Epoch: epoch, Sig: sig,
+			Sig: sig,
 		})
 	}
 	return res, nil
@@ -632,9 +614,9 @@ func (e *Engine) Execute(expr query.Expr, opts ExecOptions) (*ExecResult, error)
 // to visit (a superset of the match set; visit re-evaluates). Three
 // strategies, best first:
 //
-//  1. structural candidate pruning via the metaIndex — unless disabled, and
-//     unless a required keyword's posting estimate is smaller than the
-//     candidate set (then the keyword driver enumerates less);
+//  1. structural candidate pruning via the metaIndex — unless a required
+//     keyword's posting estimate is smaller than the candidate set (then
+//     the keyword driver enumerates less);
 //  2. the required-keyword driver: the expression is a keyword, or an And
 //     with a keyword conjunct — enumerate that keyword's hits, handing the
 //     already-computed score to visit so the driving leaf is never
@@ -650,7 +632,7 @@ func (e *Engine) Execute(expr query.Expr, opts ExecOptions) (*ExecResult, error)
 // The return values name the strategy taken (a plan-node op and detail) and
 // how many candidate titles it streamed to visit — the EXPLAIN surface's
 // record of which rung of the ladder actually ran.
-func (e *Engine) enumerate(sh *engineShard, planned query.Expr, titles func() []string, kw query.Keyword, kwOK, noPrune bool, visit func(title string, driverScore float64, hasDriver bool)) (op, detail string, scanned int) {
+func (e *Engine) enumerate(sh *engineShard, planned query.Expr, titles func() []string, kw query.Keyword, kwOK bool, visit func(title string, driverScore float64, hasDriver bool)) (op, detail string, scanned int) {
 	ix, meta := sh.index, sh.meta
 	mode := ModeAll
 	if kw.Any {
@@ -661,14 +643,12 @@ func (e *Engine) enumerate(sh *engineShard, planned query.Expr, titles func() []
 		kwEst = ix.EstimateHits(kw.Text, mode)
 	}
 
-	if !noPrune {
-		if cands, _, ok := meta.candidates(planned, titles); ok {
-			if !kwOK || len(cands) <= kwEst {
-				for _, t := range cands {
-					visit(t, 0, false)
-				}
-				return "Candidates", "structural posting intersection", len(cands)
+	if cands, _, ok := meta.candidates(planned, titles); ok {
+		if !kwOK || len(cands) <= kwEst {
+			for _, t := range cands {
+				visit(t, 0, false)
 			}
+			return "Candidates", "structural posting intersection", len(cands)
 		}
 	}
 	if kwOK {
@@ -678,13 +658,11 @@ func (e *Engine) enumerate(sh *engineShard, planned query.Expr, titles func() []
 		}
 		return "KeywordDriver", fmt.Sprintf("%q postings", kw.Text), len(hits)
 	}
-	if !noPrune {
-		if union, ok := orUnion(planned, ix, meta, titles); ok {
-			for _, t := range union {
-				visit(t, 0, false)
-			}
-			return "OrUnion", "posting-set union", len(union)
+	if union, ok := orUnion(planned, ix, meta, titles); ok {
+		for _, t := range union {
+			visit(t, 0, false)
 		}
+		return "OrUnion", "posting-set union", len(union)
 	}
 	ts := titles()
 	for _, t := range ts {

@@ -40,8 +40,8 @@ func executeFixture(t testing.TB, sensors int) (*smr.Repository, *Engine) {
 
 // TestExecutePrunedMatchesUnpruned is the executor's core equivalence: for
 // a spread of expressions, candidate pruning returns exactly the results
-// (order, scores, matched pairs, facets, totals) of the score-then-filter
-// baseline.
+// (order, scores, matched pairs, facets, totals) of the unpruned
+// corpus-scan oracle, refExecute.
 func TestExecutePrunedMatchesUnpruned(t *testing.T) {
 	_, e := executeFixture(t, 120)
 	exprs := []query.Expr{
@@ -73,19 +73,7 @@ func TestExecutePrunedMatchesUnpruned(t *testing.T) {
 	for i, expr := range exprs {
 		for _, sortBy := range []SortKey{SortRelevance, SortTitle, SortRank} {
 			opts := ExecOptions{SortBy: sortBy, Facets: []string{"measures"}}
-			pruned, err := e.Execute(expr, opts)
-			if err != nil {
-				t.Fatalf("expr %d pruned: %v", i, err)
-			}
-			opts.DisablePruning = true
-			full, err := e.Execute(expr, opts)
-			if err != nil {
-				t.Fatalf("expr %d unpruned: %v", i, err)
-			}
-			if !reflect.DeepEqual(pruned, full) {
-				t.Errorf("expr %d sort %s: pruned != unpruned\n  pruned %+v\n  full   %+v",
-					i, sortBy, pruned, full)
-			}
+			pruned := sameAsOracle(t, e, expr, opts, fmt.Sprintf("expr %d sort %s", i, sortBy))
 			if pruned.Matched == 0 {
 				t.Errorf("expr %d matched nothing; fixture too weak", i)
 			}
@@ -244,7 +232,7 @@ func TestMetaIndexIncremental(t *testing.T) {
 // TestExecuteFoldEquivalence pins the candidate-key canonicalization: a
 // stored value that is EqualFold-equal but not ToLower-equal to the filter
 // value (U+017F ſ folds to s) must be found by the pruned path exactly
-// like the unpruned one, for equality and non-equality operators alike.
+// like the unpruned oracle, for equality and non-equality operators alike.
 func TestExecuteFoldEquivalence(t *testing.T) {
 	repo, e := executeFixture(t, 10)
 	if _, err := repo.PutPage("Sensor:Fold-1", "t",
@@ -260,17 +248,7 @@ func TestExecuteFoldEquivalence(t *testing.T) {
 		query.HasProperty{Name: "STATUS"},
 	}
 	for i, expr := range exprs {
-		pruned, err := e.Execute(expr, ExecOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		full, err := e.Execute(expr, ExecOptions{DisablePruning: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(pruned.Results, full.Results) {
-			t.Errorf("expr %d: pruned %v != unpruned %v", i, pruned.Results, full.Results)
-		}
+		pruned := sameAsOracle(t, e, expr, ExecOptions{}, fmt.Sprintf("expr %d", i))
 		found := false
 		for _, r := range pruned.Results {
 			if r.Title == "Sensor:Fold-1" {
@@ -344,7 +322,7 @@ func TestMatchedPairStableUnderReorder(t *testing.T) {
 // TestExecuteTwoKeywordConjuncts pins the driver-leaf identity: with two
 // keyword conjuncts of different selectivity, reordering must not install
 // one leaf's driven score under the other's text — a page matching only
-// the rarer word must NOT match, and scores must equal the unpruned path.
+// the rarer word must NOT match, and scores must equal the unpruned oracle.
 func TestExecuteTwoKeywordConjuncts(t *testing.T) {
 	repo, e := executeFixture(t, 30)
 	// "zebra" is rare (one page, which lacks "sensor"-ish common terms).
@@ -359,25 +337,16 @@ func TestExecuteTwoKeywordConjuncts(t *testing.T) {
 		query.Keyword{Text: "station"}, // common
 		query.Keyword{Text: "zebra"},   // rare: drives enumeration after reorder
 	}}
-	got, err := e.Execute(expr, ExecOptions{SortBy: SortTitle})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := e.Execute(expr, ExecOptions{SortBy: SortTitle, DisablePruning: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("driver mismatch: pruned %+v != unpruned %+v", got.Results, want.Results)
-	}
+	got := sameAsOracle(t, e, expr, ExecOptions{SortBy: SortTitle}, "two keyword conjuncts")
 	if len(got.Results) != 1 || got.Results[0].Title != "Sensor:Zebra-2" {
 		t.Fatalf("results = %+v, want only Sensor:Zebra-2", got.Results)
 	}
 }
 
 // TestExecuteOrKeywordUnion checks an Or of keywords (and keyword ∨
-// structural mixes) returns exactly the unpruned results — driven from the
-// posting union, not a corpus scan.
+// structural mixes) returns exactly the oracle's results — driven from the
+// posting union, not a corpus scan. The overlapping branches pin the
+// union's deduplication: a page reached by two branches is one match.
 func TestExecuteOrKeywordUnion(t *testing.T) {
 	_, e := executeFixture(t, 60)
 	exprs := []query.Expr{
@@ -389,26 +358,29 @@ func TestExecuteOrKeywordUnion(t *testing.T) {
 			query.Keyword{Text: "humidity"},
 			query.Property{Name: "measures", Op: query.OpEq, Value: "wind speed"},
 		}},
+		query.Or{Children: []query.Expr{
+			query.Keyword{Text: "humidity"},
+			query.Property{Name: "measures", Op: query.OpEq, Value: "humidity"},
+		}},
+		query.Or{Children: []query.Expr{
+			query.Keyword{Text: "station 7", Any: true},
+			query.Keyword{Text: "humidity sensor"},
+			query.Category{Name: "Sensors"},
+		}},
 	}
 	for i, expr := range exprs {
-		got, err := e.Execute(expr, ExecOptions{SortBy: SortTitle})
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := e.Execute(expr, ExecOptions{SortBy: SortTitle, DisablePruning: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("expr %d: or-union diverges from unpruned", i)
-		}
+		got := sameAsOracle(t, e, expr, ExecOptions{SortBy: SortTitle, Facets: []string{"measures"}}, fmt.Sprintf("expr %d", i))
 		if got.Matched == 0 {
 			t.Errorf("expr %d matched nothing", i)
 		}
 	}
 }
 
-func TestDocScoreMatchesSearch(t *testing.T) {
+// TestDocMatcherMatchesSearch pins the per-document scoring the pruned and
+// oracle paths use against the posting-list scoring the keyword driver
+// uses: a compiled DocMatcher reproduces every Search hit's score bit for
+// bit and rejects a phrase the document lacks.
+func TestDocMatcherMatchesSearch(t *testing.T) {
 	_, e := executeFixture(t, 50)
 	e.mu.RLock()
 	shards := e.shards
@@ -420,17 +392,18 @@ func TestDocScoreMatchesSearch(t *testing.T) {
 				ix := sh.index
 				hits := ix.Search(q, mode)
 				total += len(hits)
+				dm := ix.CompileDocMatcher(q, mode)
 				for _, h := range hits {
-					score, ok := ix.DocScore(h.ID, q, mode)
+					score, ok := dm.Score(h.ID)
 					if !ok {
-						t.Fatalf("DocScore(%s, %q) reports no match", h.ID, q)
+						t.Fatalf("Score(%s, %q) reports no match", h.ID, q)
 					}
 					if score != h.Score {
-						t.Errorf("DocScore(%s, %q) = %v, Search = %v", h.ID, q, score, h.Score)
+						t.Errorf("Score(%s, %q) = %v, Search = %v", h.ID, q, score, h.Score)
 					}
 				}
-				if _, ok := ix.DocScore("Deployment:D-00", `"wind speed"`, ModeAll); ok {
-					t.Error("DocScore matched a phrase the document lacks")
+				if _, ok := ix.CompileDocMatcher(`"wind speed"`, ModeAll).Score("Deployment:D-00"); ok {
+					t.Error("CompileDocMatcher matched a phrase the document lacks")
 				}
 			}
 			if total == 0 {

@@ -312,7 +312,7 @@ func facetRandomRepo(t testing.TB, rng *rand.Rand, pages int) *smr.Repository {
 // TestFacetIndexMatchesStreaming is the facet fast path's equivalence
 // property: over randomized corpora with fold-sibling values and duplicate
 // annotations, index-served facet counts and matched totals are identical
-// to the streaming (per-page evaluation) path for every filter-only
+// to per-page evaluation (the refExecute oracle) for every filter-only
 // expression shape, and keyword expressions keep working via streaming.
 func TestFacetIndexMatchesStreaming(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
@@ -342,39 +342,17 @@ func TestFacetIndexMatchesStreaming(t *testing.T) {
 		}
 		props := []string{"status", "measures", "samplingRate"}
 		for i, expr := range exprs {
-			stream, err := e.Execute(expr, ExecOptions{
-				CountOnly: true, Facets: props, DisableFacetIndex: true,
-			})
-			if err != nil {
-				t.Fatalf("trial %d expr %d stream: %v", trial, i, err)
-			}
-			fast, err := e.Execute(expr, ExecOptions{CountOnly: true, Facets: props})
-			if err != nil {
-				t.Fatalf("trial %d expr %d fast: %v", trial, i, err)
-			}
-			if fast.Matched != stream.Matched {
-				t.Fatalf("trial %d expr %d: matched %d (index) vs %d (stream)",
-					trial, i, fast.Matched, stream.Matched)
-			}
-			if !reflect.DeepEqual(fast.Facets, stream.Facets) {
-				t.Fatalf("trial %d expr %d: facets diverge\nindex  %v\nstream %v",
-					trial, i, fast.Facets, stream.Facets)
-			}
+			label := fmt.Sprintf("trial %d expr %d", trial, i)
+			sameAsOracle(t, e, expr, ExecOptions{CountOnly: true, Facets: props}, label)
 			// The same equivalence must hold when results are materialized
 			// alongside (the /api/search?facet= shape).
-			full, err := e.Execute(expr, ExecOptions{Facets: props, Limit: 5})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if full.Matched != stream.Matched || !reflect.DeepEqual(full.Facets, stream.Facets) {
-				t.Fatalf("trial %d expr %d: materializing execution diverges from streaming facets", trial, i)
-			}
+			sameAsOracle(t, e, expr, ExecOptions{Facets: props, Limit: 5}, label+" materialized")
 		}
 	}
 }
 
 // TestFacetIndexHonoursACL checks the fast path filters denied pages
-// exactly like per-page evaluation does.
+// exactly like per-page evaluation (the refExecute oracle) does.
 func TestFacetIndexHonoursACL(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	repo := facetRandomRepo(t, rng, 50)
@@ -384,19 +362,19 @@ func TestFacetIndexHonoursACL(t *testing.T) {
 	}
 	e := NewEngine(repo)
 	expr := query.HasProperty{Name: "status"}
-	for _, user := range []string{"", "restricted"} {
-		stream, err := e.Execute(expr, ExecOptions{
-			CountOnly: true, User: user, Facets: []string{"status"}, DisableFacetIndex: true,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		fast, err := e.Execute(expr, ExecOptions{CountOnly: true, User: user, Facets: []string{"status"}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if fast.Matched != stream.Matched || !reflect.DeepEqual(fast.Facets, stream.Facets) {
-			t.Fatalf("user %q: index-served facets diverge from streaming under ACL", user)
+	// The keyword expressions stream through per-page evaluation, so the
+	// ACL is checked on that path too, not only on the exact set.
+	exprs := []query.Expr{
+		expr,
+		query.Keyword{Text: "alpine"},
+		query.And{Children: []query.Expr{query.Keyword{Text: "station"}, expr}},
+	}
+	for i, ex := range exprs {
+		for _, user := range []string{"", "restricted"} {
+			opts := ExecOptions{User: user, Facets: []string{"status"}}
+			sameAsOracle(t, e, ex, opts, fmt.Sprintf("expr %d user %q", i, user))
+			opts.CountOnly = true
+			sameAsOracle(t, e, ex, opts, fmt.Sprintf("expr %d user %q count-only", i, user))
 		}
 	}
 	anon, _ := e.Execute(expr, ExecOptions{CountOnly: true})

@@ -9,20 +9,22 @@ import (
 
 // FuzzDecodeCursorToken throws arbitrary byte strings at the cursor codec
 // and its executor-side verifier. Invariants: neither ever panics; every
-// rejection is a structured *query.Error (bad_cursor, or stale_cursor for
-// an epoch mismatch alone); and a token that decodes at all still cannot
-// pass decodeCursor unless its signature, sort, order AND epoch all match
-// — foreign and stale cursors are rejected, never silently accepted.
+// rejection is a structured bad_cursor *query.Error; and a token that
+// decodes at all still cannot pass decodeCursor unless its signature, sort
+// and order all match — foreign cursors are rejected, never silently
+// accepted.
 func FuzzDecodeCursorToken(f *testing.F) {
 	sig := CursorSignature("expr", string(SortRelevance), string(OrderDesc), "")
 	good := EncodeCursorToken(cursorPayload{
 		Sort: string(SortRelevance), Order: string(OrderDesc),
-		Rel: 1.5, Rank: 0.25, Title: "Sensor:A", Epoch: 2, Sig: sig,
+		Rel: 1.5, Rank: 0.25, Title: "Sensor:A", Sig: sig,
 	})
 	seeds := []string{
 		good,
 		EncodeCursorToken(cursorPayload{Sort: string(SortTitle), Order: string(OrderAsc), Sig: 1}),
 		EncodeCursorToken(map[string]any{"s": "relevance", "o": "desc", "g": 0}),
+		// A token minted when cursors still carried a shard epoch ("e").
+		EncodeCursorToken(map[string]any{"s": "relevance", "o": "desc", "t": "Sensor:A", "e": 2, "g": sig}),
 		"", "not-base64!!", "AAAA", "eyJzIjoi", `{"s":"relevance"}`,
 	}
 	for _, s := range seeds {
@@ -36,36 +38,42 @@ func FuzzDecodeCursorToken(f *testing.F) {
 				t.Fatalf("DecodeCursorToken error is not bad_cursor: %T %v", err, err)
 			}
 			// A malformed token must fail the full verifier the same way.
-			if _, err2 := decodeCursor(token, sig, SortRelevance, OrderDesc, 2); err2 == nil {
+			if _, err2 := decodeCursor(token, sig, SortRelevance, OrderDesc); err2 == nil {
 				t.Fatalf("decodeCursor accepted a token DecodeCursorToken rejected: %q", token)
 			}
 			return
 		}
 
 		// The token decoded. It may only pass verification if every bound
-		// field matches; and against a foreign signature it must always be
-		// rejected (the fuzzer cannot forge a 64-bit FNV preimage for the
-		// arbitrary bind below, so acceptance would mean the check is gone).
-		got, err := decodeCursor(token, p.Sig, SortKey(p.Sort), Order(p.Order), p.Epoch)
+		// field matches; against a foreign signature, sort or order it must
+		// always be rejected (the fuzzer cannot forge a 64-bit FNV preimage
+		// for the arbitrary bind below, so acceptance would mean the check
+		// is gone).
+		got, err := decodeCursor(token, p.Sig, SortKey(p.Sort), Order(p.Order))
 		if err != nil {
 			t.Fatalf("self-consistent cursor rejected: %v (token %q)", err, token)
 		}
 		if *got != p {
 			t.Fatalf("decodeCursor altered the payload: %+v vs %+v", *got, p)
 		}
-		foreign := CursorSignature("some-other-expr", "title", "asc", "0.5")
-		if p.Sig != foreign {
-			if _, err := decodeCursor(token, foreign, SortKey(p.Sort), Order(p.Order), p.Epoch); err == nil {
-				t.Fatalf("cursor bound to sig %d accepted under foreign sig %d", p.Sig, foreign)
-			}
+		foreign := []struct {
+			what  string
+			sig   uint64
+			sort  SortKey
+			order Order
+		}{
+			{"signature", CursorSignature("some-other-expr", "title", "asc", "0.5"), SortKey(p.Sort), Order(p.Order)},
+			{"sort", p.Sig, SortKey(p.Sort + "x"), Order(p.Order)},
+			{"order", p.Sig, SortKey(p.Sort), Order(p.Order + "x")},
 		}
-		// Epoch mismatch alone must map to stale_cursor, not bad_cursor.
-		if _, err := decodeCursor(token, p.Sig, SortKey(p.Sort), Order(p.Order), p.Epoch+1); err == nil {
-			t.Fatal("cursor from another shard epoch accepted")
-		} else {
+		for _, c := range foreign {
+			if c.sig == p.Sig && string(c.sort) == p.Sort && string(c.order) == p.Order {
+				continue
+			}
+			_, err := decodeCursor(token, c.sig, c.sort, c.order)
 			var qe *query.Error
-			if !errors.As(err, &qe) || qe.Code != "stale_cursor" {
-				t.Fatalf("epoch mismatch produced %v, want stale_cursor", err)
+			if !errors.As(err, &qe) || qe.Code != "bad_cursor" {
+				t.Fatalf("cursor checked under a foreign %s: err = %v, want bad_cursor", c.what, err)
 			}
 		}
 	})

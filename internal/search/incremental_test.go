@@ -233,29 +233,6 @@ func TestIndexSlotReuse(t *testing.T) {
 	}
 }
 
-// TestIndexTopKMatchesFullSort checks the heap-selected prefix equals the
-// fully sorted result.
-func TestIndexTopKMatchesFullSort(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	ix := NewIndex()
-	for i := 0; i < 200; i++ {
-		ix.Add(fmt.Sprintf("doc%03d", i), randomPageText(rng))
-	}
-	for _, q := range []string{"wind", "snow ridge", "temperature station"} {
-		full := ix.Search(q, ModeAny)
-		for _, k := range []int{1, 3, 10, 500} {
-			got := ix.SearchTopK(q, ModeAny, k)
-			want := full
-			if k < len(want) {
-				want = want[:k]
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("SearchTopK(%q, %d) = %v, want %v", q, k, got, want)
-			}
-		}
-	}
-}
-
 // TestTrieRefcounting pins the incremental insert/remove semantics.
 func TestTrieRefcounting(t *testing.T) {
 	tr := NewTrie()

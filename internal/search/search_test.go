@@ -400,6 +400,11 @@ func TestEngineFacets(t *testing.T) {
 	if facets["measures"]["wind speed"] != 1 || facets["measures"]["temperature"] != 1 {
 		t.Errorf("measures facet = %v", facets["measures"])
 	}
+	// Repeated or differently-cased properties must not double-count.
+	dup := e.Facets(rs, []string{"canton", "CANTON"})
+	if len(dup) != 1 || !reflect.DeepEqual(dup["canton"], facets["canton"]) {
+		t.Errorf("duplicate-property facets = %v, want %v", dup, facets["canton"])
+	}
 }
 
 // TestEngineFacetCounts checks the streaming facet path agrees with the

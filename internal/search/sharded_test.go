@@ -1,7 +1,6 @@
 package search
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -81,18 +80,19 @@ func shardedExecCases() []struct {
 			ExecOptions{CountOnly: true, Facets: []string{"samplingRate"}}},
 		{"count-exact", query.Namespace{Name: "Sensor"},
 			ExecOptions{CountOnly: true, Facets: []string{"partOf"}}},
-		{"no-prune", query.And{Children: []query.Expr{
+		{"filter-unlimited", query.And{Children: []query.Expr{
 			query.Keyword{Text: "wind", Any: true},
 			query.Property{Name: "samplingRate", Op: query.OpGt, Value: "5"},
-		}}, ExecOptions{DisablePruning: true}},
+		}}, ExecOptions{}},
 	}
 }
 
 // TestShardedEquivalence is the property suite of the sharded executor:
 // for shard counts 1, 2, 3 and 8 over randomized corpora, every execution
 // path — results with their float scores, facet counts, matched totals,
-// autocomplete and full cursor walks (tokens included) — must be
-// byte-identical to the single-shard engine. Scores agree bit-for-bit
+// autocomplete and full cursor walks (tokens included, resumed across
+// engines) — must be byte-identical to the single-shard engine, and every
+// case must match the refExecute oracle. Scores agree bit-for-bit
 // because all shards share one global TermStats; orderings agree because
 // every comparator is a strict total order, so the k-way merge of
 // per-shard heaps reproduces the global selection exactly.
@@ -122,6 +122,7 @@ func TestShardedEquivalence(t *testing.T) {
 						t.Fatalf("shards=%d case %s diverges:\nsharded   = %+v\nunsharded = %+v",
 							p, tc.name, got, want)
 					}
+					sameAsOracle(t, sharded, tc.expr, tc.opts, fmt.Sprintf("shards=%d case %s", p, tc.name))
 				}
 				for _, prefix := range []string{"s", "wi", "Sensor:", "an", "temp"} {
 					got := sharded.Autocomplete(prefix, 10)
@@ -139,7 +140,10 @@ func TestShardedEquivalence(t *testing.T) {
 // checkCursorWalksAgree pages both engines through the same queries and
 // asserts every page AND every minted cursor token is byte-identical —
 // tokens embed the sort-key values of the last row, so equal tokens are a
-// stronger statement than equal pages.
+// stronger statement than equal pages. It then walks again alternating
+// engines page by page, in both starting orders, so every cursor one
+// engine minted is resumed on the other; the crossed walks must equal the
+// single-engine walk.
 func checkCursorWalksAgree(t *testing.T, base, sharded *Engine, p int) {
 	t.Helper()
 	alpha := 0.4
@@ -154,22 +158,35 @@ func checkCursorWalksAgree(t *testing.T, base, sharded *Engine, p int) {
 		{"fused", query.Keyword{Text: "wind temperature", Any: true}, ExecOptions{Alpha: &alpha, Limit: 3}},
 	}
 	for _, w := range walks {
-		wantPages, wantTokens := cursorWalk(t, base, w.expr, w.opts)
-		gotPages, gotTokens := cursorWalk(t, sharded, w.expr, w.opts)
-		if !reflect.DeepEqual(gotPages, wantPages) {
-			t.Fatalf("shards=%d walk %s pages diverge:\nsharded   = %+v\nunsharded = %+v",
-				p, w.name, gotPages, wantPages)
+		wantPages, wantTokens := cursorWalk(t, []*Engine{base}, w.expr, w.opts)
+		for _, engines := range []struct {
+			name string
+			seq  []*Engine
+		}{
+			{"sharded", []*Engine{sharded}},
+			{"unsharded→sharded", []*Engine{base, sharded}},
+			{"sharded→unsharded", []*Engine{sharded, base}},
+		} {
+			gotPages, gotTokens := cursorWalk(t, engines.seq, w.expr, w.opts)
+			if !reflect.DeepEqual(gotPages, wantPages) {
+				t.Fatalf("shards=%d walk %s (%s) pages diverge:\ngot       = %+v\nunsharded = %+v",
+					p, w.name, engines.name, gotPages, wantPages)
+			}
+			if !reflect.DeepEqual(gotTokens, wantTokens) {
+				t.Fatalf("shards=%d walk %s (%s) cursor tokens diverge:\ngot       = %v\nunsharded = %v",
+					p, w.name, engines.name, gotTokens, wantTokens)
+			}
 		}
-		if !reflect.DeepEqual(gotTokens, wantTokens) {
-			t.Fatalf("shards=%d walk %s cursor tokens diverge:\nsharded   = %v\nunsharded = %v",
-				p, w.name, gotTokens, wantTokens)
+		if len(wantTokens) < 2 {
+			t.Fatalf("walk %s mints %d cursors; too few to cross engines both ways", w.name, len(wantTokens))
 		}
 	}
 }
 
-// cursorWalk follows NextCursor to exhaustion, returning every page of
-// results and every token minted along the way.
-func cursorWalk(t *testing.T, e *Engine, expr query.Expr, opts ExecOptions) ([][]Result, []string) {
+// cursorWalk follows NextCursor to exhaustion, serving page i from
+// engines[i%len(engines)], and returns every page of results and every
+// token minted along the way.
+func cursorWalk(t *testing.T, engines []*Engine, expr query.Expr, opts ExecOptions) ([][]Result, []string) {
 	t.Helper()
 	var pages [][]Result
 	var tokens []string
@@ -177,7 +194,7 @@ func cursorWalk(t *testing.T, e *Engine, expr query.Expr, opts ExecOptions) ([][
 		if steps > 1000 {
 			t.Fatal("cursor walk did not terminate")
 		}
-		res, err := e.Execute(expr, opts)
+		res, err := engines[steps%len(engines)].Execute(expr, opts)
 		if err != nil {
 			t.Fatalf("cursor walk: %v", err)
 		}
@@ -187,64 +204,6 @@ func cursorWalk(t *testing.T, e *Engine, expr query.Expr, opts ExecOptions) ([][
 		}
 		tokens = append(tokens, res.NextCursor)
 		opts.Cursor = res.NextCursor
-	}
-}
-
-// TestShardEpochInvalidatesCursors pins the cursor-epoch contract: a
-// cursor survives ordinary index churn (Update, Rebuild), but a reshard
-// moves the epoch and turns outstanding cursors into structured
-// stale_cursor errors instead of silently paging a repartitioned index.
-func TestShardEpochInvalidatesCursors(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	repo, ranks := shardedFixture(t, rng, 40)
-	e := NewEngineShards(repo, 2)
-	e.SetRanks(ranks)
-	expr := query.Keyword{Text: "wind station snow", Any: true}
-	res, err := e.Execute(expr, ExecOptions{Limit: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.NextCursor == "" {
-		t.Fatal("fixture too small: no second page")
-	}
-
-	// Churn + Update + Rebuild: the cursor must keep working.
-	if _, err := repo.PutPage("Sensor:R000", "t", "wind wind wind", ""); err != nil {
-		t.Fatal(err)
-	}
-	e.Update()
-	e.Rebuild()
-	if e.ShardEpoch() != 0 {
-		t.Fatalf("epoch moved on refresh: %d", e.ShardEpoch())
-	}
-	if _, err := e.Execute(expr, ExecOptions{Limit: 2, Cursor: res.NextCursor}); err != nil {
-		t.Fatalf("cursor rejected after refresh churn: %v", err)
-	}
-
-	// Reshard: same token is now stale, with the dedicated error code.
-	e.SetShards(4)
-	if e.ShardEpoch() != 1 {
-		t.Fatalf("epoch after reshard = %d, want 1", e.ShardEpoch())
-	}
-	_, err = e.Execute(expr, ExecOptions{Limit: 2, Cursor: res.NextCursor})
-	var qerr *query.Error
-	if !errors.As(err, &qerr) || qerr.Code != "stale_cursor" {
-		t.Fatalf("post-reshard cursor error = %v, want stale_cursor", err)
-	}
-	// SetShards to the current count is a no-op: no epoch bump.
-	e.SetShards(4)
-	if e.ShardEpoch() != 1 {
-		t.Fatalf("no-op SetShards bumped epoch to %d", e.ShardEpoch())
-	}
-	// A fresh walk under the new epoch works end to end.
-	res2, err := e.Execute(expr, ExecOptions{Limit: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res2.NextCursor != "" {
-		if _, err := e.Execute(expr, ExecOptions{Limit: 2, Cursor: res2.NextCursor}); err != nil {
-			t.Fatalf("fresh cursor after reshard: %v", err)
-		}
 	}
 }
 

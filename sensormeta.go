@@ -145,11 +145,9 @@ type RefreshStats struct {
 	PageRankWarm    int `json:"pagerankWarm"`
 	PageRankCold    int `json:"pagerankCold"`
 
-	// Sharding: how many hash shards the search engine (and recommender)
-	// partition their posting structures into, and the current shard
-	// epoch keyset cursors are bound to (bumped by SetShards).
-	Shards     int    `json:"shards"`
-	ShardEpoch uint64 `json:"shardEpoch"`
+	// Shards is how many hash shards the search engine (and recommender)
+	// partition their posting structures into, fixed at construction.
+	Shards int `json:"shards"`
 
 	Recommender recommend.Stats `json:"recommender"`
 	Tagging     tagging.Stats   `json:"tagging"`
@@ -175,7 +173,6 @@ func (s *System) Stats() RefreshStats {
 		PageRankWarm:    s.stats.PageRankWarm,
 		PageRankCold:    s.stats.PageRankCold,
 		Shards:          s.Engine.ShardCount(),
-		ShardEpoch:      s.Engine.ShardEpoch(),
 		WAL:             s.Repo.WALStats(),
 	}
 	if s.Tags != nil {
@@ -196,10 +193,10 @@ func New() (*System, error) {
 
 // NewShards creates an empty system whose search engine (and, through it,
 // the recommender) is partitioned into n hash shards from the start
-// (n <= 0 selects the GOMAXPROCS-aware default). Unlike SetShards on a
-// live system, construction-time partitioning keeps the shard epoch at
-// zero — there are no outstanding cursors to invalidate — so two fresh
-// processes mint byte-identical cursor tokens whatever their shard count.
+// (n <= 0 selects the GOMAXPROCS-aware default). The count is fixed for
+// the system's lifetime, and it is invisible in results: processes that
+// differ only in their shard count mint byte-identical cursor tokens and
+// resume each other's cursors.
 func NewShards(n int) (*System, error) {
 	repo, err := smr.New()
 	if err != nil {
@@ -220,8 +217,7 @@ func Open(dir string, opts smr.DurableOptions) (*System, error) {
 }
 
 // OpenShards is Open with a construction-time shard count, as NewShards
-// is to New: the engine is born partitioned and the shard epoch stays
-// zero. n <= 0 selects the default.
+// is to New: the engine is born partitioned. n <= 0 selects the default.
 func OpenShards(dir string, opts smr.DurableOptions, n int) (*System, error) {
 	repo, err := smr.Open(dir, opts)
 	if err != nil {
@@ -370,30 +366,6 @@ func (s *System) RefreshFull() error {
 	return nil
 }
 
-// SetShards repartitions the search engine (and the recommender's posting
-// indexes) into n hash shards; n <= 0 selects the GOMAXPROCS-aware
-// default. Queries and recommendations are byte-identical at every shard
-// count — the count only sets how many goroutines a query, refresh or
-// recommendation can fan out across. Outstanding keyset cursors are
-// invalidated (the shard epoch moves); everything else is transparent.
-func (s *System) SetShards(n int) {
-	s.refreshMu.Lock()
-	defer s.refreshMu.Unlock()
-	before := s.Engine.ShardCount()
-	s.Engine.SetShards(n)
-	if s.Engine.ShardCount() == before {
-		return // no-op repartition: keep the recommender (and its stats)
-	}
-	if rec := s.recommender(); rec != nil {
-		if rk := s.ranker(); rk != nil {
-			fresh := recommend.NewSharded(s.Repo, rk.Scores(), s.Engine.ShardCount())
-			s.ptrMu.Lock()
-			s.Recommender = fresh
-			s.ptrMu.Unlock()
-		}
-	}
-}
-
 // solveRanking recomputes PageRank, warm-starting Gauss–Seidel from the
 // previous score vector when the configured method permits it. warm reports
 // whether the previous scores seeded the solve.
@@ -446,14 +418,6 @@ func (s *System) Search(q search.Query) ([]search.Result, error) {
 // equivalent of POST /api/v1/query.
 func (s *System) Query(expr query.Expr, opts search.ExecOptions) (*search.ExecResult, error) {
 	return s.Engine.Execute(expr, opts)
-}
-
-// ranker loads the current Ranker pointer safely against a concurrent
-// refresh installing a replacement.
-func (s *System) ranker() *ranking.Ranker {
-	s.ptrMu.RLock()
-	defer s.ptrMu.RUnlock()
-	return s.Ranker
 }
 
 // recommender loads the current Recommender pointer safely against a
